@@ -723,136 +723,6 @@ let dataflow_prune () =
   Printf.printf "wrote BENCH_dataflow.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Semantic slicing (BENCH_slice.json)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* What slice-based repair buys and what it costs: every defect scenario
-   is repaired twice with the same seed and budget — whole-design vs
-   --slice — and we record whether slicing engaged (multi-process designs
-   whose mismatch cone excludes logic) or honestly fell back, the slice's
-   size as a fraction of the whole module, in-simulator throughput
-   (probes per simulated second) under each mode, the stitched-verify
-   count, and repair-outcome parity. Slicing can only prune the candidate
-   space — the stitched whole-design verification is the acceptance gate
-   — so a parity mismatch within a fixed budget means the narrower search
-   found (or missed) a repair the other did not reach in time; both
-   directions are reported, never hidden. *)
-let slice_perf () =
-  section "Semantic slicing: size, throughput, parity (writes BENCH_slice.json)";
-  let scale = if !quick then 0.4 else 1.0 in
-  (* As in dataflow_prune: the heavyweight designs (i2c, sha3, sdram,
-     reed_solomon, tate) simulate in tens of milliseconds per probe, so
-     they get a reduced probe budget to keep the artifact's wall time
-     bounded — each scenario below runs the search twice. *)
-  let heavy_budget = if !quick then 400 else 2_000 in
-  let light_budget = if !quick then 1_500 else 6_000 in
-  let is_heavy (d : Bench_suite.Defects.t) =
-    match d.project with
-    | "i2c" | "sha3" | "sdram_controller" | "reed_solomon_decoder"
-    | "tate_pairing" ->
-        true
-    | _ -> false
-  in
-  let ids =
-    if !quick then [ 1; 5; 8; 15; 18; 19; 21; 30; 31 ]
-    else List.map (fun (d : Bench_suite.Defects.t) -> d.id)
-        Bench_suite.Defects.all
-  in
-  Printf.printf "%-24s %-8s %6s %9s %9s %8s %7s %7s\n" "Scenario" "slice"
-    "size%" "sims/s-w" "sims/s-s" "stitch" "rep-w" "rep-s";
-  let rows =
-    List.map
-      (fun id ->
-        let d = Bench_suite.Defects.find id in
-        let problem = Bench_suite.Defects.problem d in
-        let cfg =
-          {
-            (Bench_suite.Runner.scenario_config ~budget_scale:scale d) with
-            seed = 1;
-            max_probes = (if is_heavy d then heavy_budget else light_budget);
-          }
-        in
-        (* Slice geometry, independent of the searches below. *)
-        let size_pct =
-          let ev = Cirfix.Evaluate.create cfg problem in
-          match Cirfix.Slicing.prepare ev with
-          | None -> 100.0
-          | Some s ->
-              let sz m = float_of_int (Verilog.Ast_utils.module_size m) in
-              100.0
-              *. sz s.Cirfix.Slicing.plan.Verilog.Slice.sl_module
-              /. sz s.Cirfix.Slicing.whole_target
-        in
-        let run slice = Cirfix.Gp.repair { cfg with slice } problem in
-        let r_whole = run false in
-        let r_slice = run true in
-        let throughput (r : Cirfix.Gp.result) =
-          let secs = r.sim_seconds_event +. r.sim_seconds_compiled in
-          if secs > 0. then float_of_int r.probes /. secs else 0.
-        in
-        let label = Printf.sprintf "%s#%d" d.project d.id in
-        Printf.printf "%-24s %-8s %5.1f%% %9.0f %9.0f %8d %7b %7b\n" label
-          (if r_slice.sliced then "engaged" else "whole")
-          size_pct (throughput r_whole) (throughput r_slice)
-          r_slice.stitched_verifies
-          (r_whole.minimized <> None)
-          (r_slice.minimized <> None);
-        (label, size_pct, r_whole, r_slice))
-      ids
-  in
-  let engaged =
-    List.filter (fun (_, _, _, (r : Cirfix.Gp.result)) -> r.sliced) rows
-  in
-  let parity_breaks =
-    List.filter
-      (fun (_, _, (w : Cirfix.Gp.result), (s : Cirfix.Gp.result)) ->
-        (w.minimized <> None) <> (s.minimized <> None))
-      rows
-  in
-  Printf.printf
-    "\nslicing engaged on %d/%d scenarios; outcome parity on %d/%d\n"
-    (List.length engaged) (List.length rows)
-    (List.length rows - List.length parity_breaks)
-    (List.length rows);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"budget_scale\": %.2f,\n\
-      \  \"engaged\": %d,\n\
-      \  \"scenarios_run\": %d,\n\
-      \  \"parity_breaks\": %d,\n\
-      \  \"scenarios\": [\n%s\n  ]\n}\n"
-      scale (List.length engaged) (List.length rows)
-      (List.length parity_breaks)
-      (String.concat ",\n"
-         (List.map
-            (fun (label, size_pct, (w : Cirfix.Gp.result),
-                  (s : Cirfix.Gp.result)) ->
-              let throughput (r : Cirfix.Gp.result) =
-                let secs = r.sim_seconds_event +. r.sim_seconds_compiled in
-                if secs > 0. then float_of_int r.probes /. secs else 0.
-              in
-              Printf.sprintf
-                "    { \"scenario\": \"%s\", \"engaged\": %b, \
-                 \"slice_size_pct\": %.2f,\n\
-                \      \"whole\": { \"repaired\": %b, \"probes\": %d, \
-                 \"sims_per_sec\": %.1f, \"wall_seconds\": %.3f },\n\
-                \      \"slice\": { \"repaired\": %b, \"probes\": %d, \
-                 \"sims_per_sec\": %.1f, \"wall_seconds\": %.3f, \
-                 \"slice_sims\": %d, \"stitched_verifies\": %d } }"
-                label s.sliced size_pct
-                (w.minimized <> None)
-                w.probes (throughput w) w.wall_seconds
-                (s.minimized <> None)
-                s.probes (throughput s) s.wall_seconds s.slice_sims
-                s.stitched_verifies)
-            rows))
-  in
-  Out_channel.with_open_text "BENCH_slice.json" (fun oc ->
-      output_string oc json);
-  Printf.printf "wrote BENCH_slice.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Race audit: static + dynamic race analysis over the suite            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1522,7 +1392,6 @@ let artifacts =
     ("repair-perf", repair_perf);
     ("sim-perf", sim_perf);
     ("dataflow-prune", dataflow_prune);
-    ("slice-perf", slice_perf);
     ("race-audit", race_audit);
     ("obs-overhead", obs_overhead);
     ("profile-perf", profile_perf);

@@ -339,7 +339,7 @@ let localize design golden testbench target top clock dut =
            (Verilog.Pp.stmt_to_string s)))
     (Cirfix.Fault_loc.fl_statements m r);
   (* Slice membership: the backward cone of the mismatching outputs
-     (Verilog.Slice), the region a --slice repair run would search. *)
+     (Verilog.Slice), the region a repair searches when slicing engages. *)
   let plan =
     let outs = Verilog.Slice.output_ports m in
     let seed = List.filter (fun o -> List.mem o outs) mismatch in
@@ -571,28 +571,13 @@ let jobs_arg =
            default: recommended domain count minus one). Results are\n\
            identical for any value when the wall-clock bound does not bind.")
 
-let slice_flag =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:
-          "Slice-based repair: extract the backward cone of the mismatching\n\
-           outputs and run mutation, localization and candidate simulation\n\
-           on the slice; every slice-plausible candidate is stitched back\n\
-           into the whole design and re-verified there before being\n\
-           reported. Falls back silently to whole-design repair when the\n\
-           target is not the DUT module or the cone covers the design.")
-
-(* Extra summary rows for a --slice run: whether slicing engaged, and the
-   split between slice simulations and whole-design re-verifications. *)
-let slice_rows ~slice ~sliced ~slice_sims ~stitched_verifies =
-  if not slice then []
+(* Extra summary rows when slicing engaged: the split between slice
+   simulations and whole-design re-verifications. *)
+let slice_rows ~sliced ~slice_sims ~stitched_verifies =
+  if not sliced then []
   else
     [
-      ( "slice",
-        if sliced then
-          Printf.sprintf "engaged  (%d sims on the slice)" slice_sims
-        else "fell back to whole-design repair" );
+      ("slice", Printf.sprintf "engaged  (%d sims on the slice)" slice_sims);
       ("stitched verifies", Printf.sprintf "%d" stitched_verifies);
     ]
 
@@ -693,7 +678,7 @@ let memo_pct ~memo_hits ~lookups =
 
 let repair design golden testbench target top clock dut seed pop_size
     generations max_probes wall jobs backend race_screen race_check no_prune
-    check_pruning slice output progress obs =
+    check_pruning output progress obs =
   with_obs obs @@ fun () ->
   let faulty = or_die (read_file design)
   and golden_src = or_die (read_file golden)
@@ -716,7 +701,6 @@ let repair design golden testbench target top clock dut seed pop_size
       check_races = race_check;
       prune = not no_prune;
       check_pruning;
-      slice;
     }
   in
   let show_progress, clear_progress = make_progress ~enabled:progress in
@@ -757,7 +741,7 @@ let repair design golden testbench target top clock dut seed pop_size
           ~sim_seconds_event:r.sim_seconds_event
           ~sim_seconds_compiled:r.sim_seconds_compiled ~jobs:cfg.jobs
           ~wall_seconds:r.wall_seconds
-        @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
+        @ slice_rows ~sliced:r.sliced ~slice_sims:r.slice_sims
             ~stitched_verifies:r.stitched_verifies));
   (* Replay the final design (repaired when found, else the faulty
      original) under the repair testbench with coverage enabled, so the
@@ -845,7 +829,6 @@ let repair_cmd =
                  candidate anyway and fail if its fitness differs from the\n\
                  value the pruning lane served. Slow; for differential\n\
                  testing of the pruner.")
-      $ slice_flag
       $ Arg.(
           value
           & opt (some string) None
@@ -856,7 +839,7 @@ let repair_cmd =
 (* --- brute ------------------------------------------------------------------ *)
 
 let brute design golden testbench target top clock dut max_depth max_probes
-    wall jobs backend race_screen no_prune check_pruning slice progress obs =
+    wall jobs backend race_screen no_prune check_pruning progress obs =
   with_obs obs @@ fun () ->
   let faulty = or_die (read_file design)
   and golden_src = or_die (read_file golden)
@@ -875,7 +858,6 @@ let brute design golden testbench target top clock dut max_depth max_probes
       screen_races = race_screen;
       prune = not no_prune;
       check_pruning;
-      slice;
     }
   in
   let show_progress, clear_progress = make_progress ~enabled:progress in
@@ -908,7 +890,7 @@ let brute design golden testbench target top clock dut max_depth max_probes
           ~sim_seconds_event:r.sim_seconds_event
           ~sim_seconds_compiled:r.sim_seconds_compiled ~jobs:cfg.jobs
           ~wall_seconds:r.wall_seconds
-        @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
+        @ slice_rows ~sliced:r.sliced ~slice_sims:r.slice_sims
             ~stitched_verifies:r.stitched_verifies));
   match r.repaired with
   | Some patch ->
@@ -950,7 +932,7 @@ let brute_cmd =
               ~doc:
                 "Simulate statically-pruned candidates anyway and fail on\n\
                  any fitness mismatch (differential testing of the pruner).")
-      $ slice_flag $ progress_arg $ obs_args)
+      $ progress_arg $ obs_args)
 
 (* --- profile ---------------------------------------------------------------- *)
 

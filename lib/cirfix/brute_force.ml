@@ -90,7 +90,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
      simulations — and every slice-plausible patch is stitched back into
      the whole design and re-verified before being reported. *)
   let whole_ev = Evaluate.create cfg whole_problem in
-  let slicing = if cfg.slice then Slicing.prepare whole_ev else None in
+  let slicing = Slicing.prepare whole_ev in
   let problem =
     match slicing with Some s -> s.Slicing.sliced | None -> whole_problem
   in
@@ -263,11 +263,9 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ("tried", Obs.Json.Int !tried);
       ]
       @
-      if cfg.slice then
+      if slicing <> None then
         [
-          ( "slice_sims",
-            Obs.Json.Int (match slicing with Some _ -> ev.probes | None -> 0)
-          );
+          ("slice_sims", Obs.Json.Int ev.probes);
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
       else [])

@@ -35,8 +35,8 @@ type result = {
   wall_seconds : float;
   candidates_tried : int;
   sliced : bool;
-      (** slice-based search actually engaged ([cfg.slice] and the slicer
-          found a strictly smaller exact slice) *)
+      (** slice-based search engaged: the slicer found a strictly smaller
+          exact slice *)
   slice_sims : int;
       (** candidate simulations that ran on the sliced design (equals
           [probes] when [sliced], 0 otherwise) *)

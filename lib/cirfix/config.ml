@@ -56,15 +56,6 @@ type t = {
          the levelized cycle evaluator, falling back per design to the
          event engine on designs the compiler rejects (every fallback is
          recorded in stats and the journal, never silent) *)
-  slice : bool;
-      (* slice-based repair: extract the backward cone of the mismatching
-         outputs (Verilog.Slice) and run mutation, localization and
-         per-candidate simulation on the slice; every slice-plausible
-         candidate is stitched back into the whole design and re-verified
-         there before being reported (the acceptance gate — slicing can
-         only prune, never unsoundly accept). Falls back silently to
-         whole-design repair when the target is not the DUT module or the
-         cone covers the whole design. *)
 }
 
 (* One evaluation domain per recommended core, minus one for the main
@@ -104,7 +95,6 @@ let default =
     prune = true;
     check_pruning = false;
     backend = Sim.Simulate.Auto;
-    slice = false;
   }
 
 (* Configuration fields recorded in a repair journal's run header.
@@ -125,7 +115,6 @@ let journal_fields (t : t) : (string * Obs.Json.t) list =
     ("prune", Obs.Json.Bool t.prune);
     ("check_pruning", Obs.Json.Bool t.check_pruning);
     ("backend", Obs.Json.Str (Sim.Simulate.backend_to_string t.backend));
-    ("slice", Obs.Json.Bool t.slice);
   ]
 
 (* The paper's full-scale configuration, for completeness. *)

@@ -522,14 +522,14 @@ let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
 let repair ?(on_generation : (generation_stats -> unit) option)
     (cfg : Config.t) (whole_problem : Problem.t) : result =
   let rng = Random.State.make [| cfg.seed |] in
-  (* Slice-based repair: when enabled and the slicer finds a strictly
-     smaller exact slice, the search (mutation, localization, candidate
-     simulation) runs on the sliced problem; [whole_ev] then only scores
-     the seed and re-verifies plausible winners stitched back into the
-     whole design (the acceptance gate). When slicing cannot engage,
-     [whole_ev] IS the search evaluator and nothing changes. *)
+  (* Slice-based repair: when the slicer finds a strictly smaller exact
+     slice, the search (mutation, localization, candidate simulation)
+     runs on the sliced problem; [whole_ev] then only scores the seed and
+     re-verifies plausible winners stitched back into the whole design
+     (the acceptance gate). When slicing cannot engage, [whole_ev] IS the
+     search evaluator and its cache already holds the seed. *)
   let whole_ev = Evaluate.create cfg whole_problem in
-  let slicing = if cfg.slice then Slicing.prepare whole_ev else None in
+  let slicing = Slicing.prepare whole_ev in
   let problem =
     match slicing with Some s -> s.Slicing.sliced | None -> whole_problem
   in
@@ -577,9 +577,10 @@ let repair ?(on_generation : (generation_stats -> unit) option)
       snap_pruned = 0;
     }
   in
-  (* Evaluator work that predates funnel tracking (a slice probe that fell
-     back to the whole design leaves counters on [ev]) lands on a "setup"
-     accounting row, so funnel sums still tile the run_end counters. *)
+  (* Evaluator work that predates funnel tracking (the slicer's seed
+     probe, when it fell back to the whole design, leaves counters on
+     [ev]) lands on a "setup" accounting row, so funnel sums still tile
+     the run_end counters. *)
   if track && ev.lookups > 0 then begin
     let r = funnel_get funnel "setup" in
     r.f_proposed <- ev.lookups;
@@ -794,7 +795,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   done;
 
   let t_min = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-  (* In slice mode, minimize against the WHOLE design: every ddmin probe
+  (* When sliced, minimize against the WHOLE design: every ddmin probe
      then re-verifies on the full oracle, so the minimized patch repairs
      the whole module by construction, not just the slice. *)
   let minimized =
@@ -807,7 +808,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   in
   if !found <> None && Obs.Trace.enabled () then
     Obs.Trace.complete ~cat:"gp" ~name:"gp.minimize" t_min;
-  (* ddmin probes (non-slice mode: they run on [ev]) land on a "minimize"
+  (* ddmin probes (unsliced: they run on [ev]) land on a "minimize"
      accounting row so the funnel still tiles the run_end counters. *)
   if track && ev.lookups > funnel.snap_lookups then begin
     let d = ev.lookups - funnel.snap_lookups in
@@ -873,11 +874,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
            Obs.Json.Int (funnel_total funnel (fun r -> r.f_lineage)) );
        ]
       @
-      if cfg.slice then
+      if slicing <> None then
         [
-          ( "slice_sims",
-            Obs.Json.Int (match slicing with Some _ -> ev.probes | None -> 0)
-          );
+          ("slice_sims", Obs.Json.Int ev.probes);
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
       else [])

@@ -62,9 +62,8 @@ type result = {
   wall_seconds : float;
   initial_fitness : float;  (** fitness of the unpatched faulty design *)
   sliced : bool;
-      (** slice-based repair actually engaged ([cfg.slice] and the slicer
-          found a strictly smaller exact slice); when false under
-          [cfg.slice], the run silently fell back to whole-design repair *)
+      (** slice-based repair engaged: the slicer found a strictly smaller
+          exact slice; when false, the run searched the whole design *)
   slice_sims : int;
       (** candidate simulations that ran on the sliced design (equals
           [probes] when [sliced], 0 otherwise) *)

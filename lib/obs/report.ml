@@ -448,22 +448,13 @@ let render_pruning (records : Json.t list) : string =
       in
       summary ^ chart
 
-(* Semantic slicing: the slice manifest (emitted when a --slice run
+(* Semantic slicing: the slice manifest (emitted when the repair
    extracted a strictly smaller cone) and the run_end split between
    slice simulations and whole-design stitched re-verifications. Renders
-   a short absence note for runs without slicing. *)
+   a short absence note for runs that searched the whole design. *)
 let render_slicing (records : Json.t list) : string =
   match last_of_type "slice" records with
-  | None -> (
-      match last_of_type "run" records with
-      | Some r -> (
-          match Json.member "slice" r with
-          | Some (Json.Bool true) ->
-              "<p>slicing requested but fell back to whole-design repair \
-               (target not the DUT module, or the cone covers the \
-               design)</p>\n"
-          | _ -> missing "slice")
-      | None -> missing "slice")
+  | None -> missing "slice"
   | Some s ->
       let names k =
         list_of k s

@@ -666,7 +666,7 @@ let check_dataflow ~modname (m : module_decl) (_g : graph) :
 
 (* Per-output backward-cone sizes (the [cone] rule family): how much of
    the module each output port transitively depends on — the slicing
-   opportunity `cirfix slice` / `repair --slice` exploits. Outputs are
+   opportunity `cirfix slice` and slice-based repair exploit. Outputs are
    reported name-sorted, anchored at the port declaration. *)
 let check_cone ?design ~modname (m : module_decl) (_g : graph) :
     Lint.finding list =

@@ -127,14 +127,11 @@ let expr_idents e =
     [] e
   |> List.rev
 
-let lvalue_base = function
+(* Base names an lvalue writes, left to right, through any nesting of
+   concatenations. *)
+let rec lvalue_base = function
   | LId n | LIndex (n, _) | LRange (n, _, _) -> [ n ]
-  | LConcat lvs ->
-      List.concat_map
-        (function
-          | LId n | LIndex (n, _) | LRange (n, _, _) -> [ n ]
-          | LConcat _ -> [])
-        lvs
+  | LConcat lvs -> List.concat_map lvalue_base lvs
 
 (* Node ids of an expression subtree. *)
 let expr_subtree_ids e = fold_expr (fun acc (x : expr) -> x.eid :: acc) [] e

@@ -614,13 +614,6 @@ let case_matches kind sv pv =
 
 (* --- Fixpoint ------------------------------------------------------------ *)
 
-let lvalue_bases lv =
-  let rec go acc = function
-    | LId n | LIndex (n, _) | LRange (n, _, _) -> n :: acc
-    | LConcat lvs -> List.fold_left go acc lvs
-  in
-  List.rev (go [] lv)
-
 type facts = {
   f_env : denv;
   f_values : aval SMap.t; (* per-net fixpoint values *)
@@ -650,7 +643,7 @@ let reads_of (m : module_decl) =
 
 let written_of (m : module_decl) =
   let add_lv acc lv =
-    List.fold_left (Fun.flip SSet.add) acc (lvalue_bases lv)
+    List.fold_left (Fun.flip SSet.add) acc (Ast_utils.lvalue_base lv)
   in
   let from_stmts =
     Ast_utils.fold_module
@@ -714,8 +707,8 @@ let facts_of (m : module_decl) : facts =
     | LIndex (n, _) | LRange (n, _, _) ->
         (* A partial write: every bit of the target goes top. *)
         contribute n Any
-    | LConcat lvs ->
-        List.iter (fun n -> contribute n Any) (lvalue_bases (LConcat lvs))
+    | LConcat _ ->
+        List.iter (fun n -> contribute n Any) (Ast_utils.lvalue_base lhs)
   in
   (* Reachability-aware abstract execution of one process body,
      accumulating write contributions under the current map. *)
@@ -1009,7 +1002,7 @@ let extra_of_facts ~modname (m : module_decl) (f : facts) :
     | _ -> ()
   in
   let dead_targets lhs =
-    match lvalue_bases lhs with
+    match Ast_utils.lvalue_base lhs with
     | [] -> None
     | bases ->
         if List.for_all (fun n -> SSet.mem n f.f_dead) bases then
@@ -1102,7 +1095,7 @@ let erase (m : module_decl) : module_decl =
   in
   let dead_store lhs delay rhs =
     delay = None
-    && (match lvalue_bases lhs with
+    && (match Ast_utils.lvalue_base lhs with
        | [] -> false
        | bases -> List.for_all dead bases)
     && safe_lvalue lhs && safe_expr d rhs
@@ -1226,7 +1219,7 @@ let erase (m : module_decl) : module_decl =
               List.map
                 (fun (lhs, rhs) ->
                   if
-                    (match lvalue_bases lhs with
+                    (match Ast_utils.lvalue_base lhs with
                     | [] -> false
                     | bases -> List.for_all dead bases)
                     && safe_lvalue lhs && safe_expr d rhs

@@ -30,9 +30,8 @@ let add_expr_names acc e =
       | _ -> acc)
     acc e
 
-let rec lvalue_bases acc = function
-  | LId n | LIndex (n, _) | LRange (n, _, _) -> Names.add n acc
-  | LConcat lvs -> List.fold_left lvalue_bases acc lvs
+let lvalue_bases acc lv =
+  List.fold_left (Fun.flip Names.add) acc (Ast_utils.lvalue_base lv)
 
 (* Every identifier read anywhere in a statement: right-hand sides,
    conditions, delays, event specs, and index expressions on both sides

@@ -14,11 +14,8 @@
    static half being write closure, see lib/verilog/slice.mli): any
    discrepancy here means the cone construction lost a dependency.
 
-   Usage: slice_equiv_run [--all]
-   The default is a fast smoke subset (wired into `dune runtest`),
-   chosen to include both whole-cone designs and two where per-output
-   slices genuinely drop logic; --all sweeps all projects
-   (`dune build @slice-equiv`). *)
+   Usage: slice_equiv_run
+   Sweeps every benchmark project; wired into `dune runtest`. *)
 
 open Verilog.Ast
 
@@ -106,22 +103,7 @@ let sweep_pair (p : Bench_suite.Projects.t) idx (tb_src : string) :
   (!simulated, !partial, !failures)
 
 let () =
-  let all = Array.exists (String.equal "--all") Sys.argv in
-  let projects =
-    if all then Bench_suite.Projects.all
-    else
-      (* Smoke subset: the small whole-cone designs plus the two
-         multi-process projects whose per-output slices drop logic
-         (i2c's watchdog, sdram_controller's command tracer). *)
-      List.filter
-        (fun (p : Bench_suite.Projects.t) ->
-          List.mem p.name
-            [
-              "counter"; "decoder_3_to_8"; "flip_flop"; "fsm_full";
-              "i2c"; "sdram_controller";
-            ])
-        Bench_suite.Projects.all
-  in
+  let projects = Bench_suite.Projects.all in
   let simulated = ref 0 and partial = ref 0 and failures = ref 0 in
   Printf.printf "== slice trace equivalence (%d projects x 2 testbenches)\n%!"
     (List.length projects);

@@ -1,7 +1,8 @@
 (* Unit tests for semantic slicing: cone construction (backward with
    write closure, forward), slice extraction (drops, promotion under a
-   focus), the testbench harness (instance rewriting, replay block), and
-   the repair-side Slicing.prepare engagement/fallback contract. The
+   focus), the testbench harness (instance rewriting, replay block), the
+   repair-side Slicing.prepare engagement/fallback contract, and GP and
+   brute-force repair end to end on a design where slicing engages. The
    dynamic soundness sweep lives in slice_equiv_run.ml. *)
 
 open Verilog
@@ -19,6 +20,12 @@ let chains_src =
   \  always @(*) y = t;\n\
   \  always @(*) z = b;\n\
    endmodule"
+
+let contains haystack needle =
+  try
+    ignore (Str.search_forward (Str.regexp_string needle) haystack 0);
+    true
+  with Not_found -> false
 
 (* The node writing [net], for tests that need concrete item ids. *)
 let writer g net =
@@ -103,16 +110,10 @@ let test_rewrite_testbench () =
   let plan = Slice.slice ~focus target ~outputs:[ "y" ] in
   let tb' = Slice.rewrite_testbench ~tb ~inst:"dut" ~target plan in
   let printed = Pp.module_to_string tb' in
-  let contains needle =
-    try
-      ignore (Str.search_forward (Str.regexp_string needle) printed 0);
-      true
-    with Not_found -> false
-  in
   Alcotest.(check bool) "replay register declared and connected" true
-    (contains "__slice_t");
+    (contains printed "__slice_t");
   Alcotest.(check bool) "dropped port connection removed" false
-    (contains ".z(")
+    (contains printed ".z(")
 
 let test_replay_items () =
   let target = parse_m chains_src in
@@ -131,10 +132,7 @@ let test_replay_items () =
       (List.map (fun i -> Format.asprintf "%a" Pp.pp_item i) items)
   in
   Alcotest.(check bool) "drives the replay register" true
-    (try
-       ignore (Str.search_forward (Str.regexp_string "__slice_t") printed 0);
-       true
-     with Not_found -> false)
+    (contains printed "__slice_t")
 
 (* --- Repair-side engagement ---------------------------------------------- *)
 
@@ -164,6 +162,83 @@ let test_prepare_falls_back () =
   Alcotest.(check bool) "prepare returns None" true
     (Cirfix.Slicing.prepare ev = None)
 
+(* --- Slice-mode repair end to end ----------------------------------------- *)
+
+(* i2c#18 engages the slicer (above); a fixed-seed search on it must go
+   through the stitched whole-design gate, report a patch that repairs the
+   WHOLE design, and keep its journal independent of [jobs]. *)
+let engaging_problem () =
+  Bench_suite.Defects.problem (Bench_suite.Defects.find 18)
+
+let engaging_config ~jobs =
+  {
+    (Bench_suite.Runner.scenario_config (Bench_suite.Defects.find 18)) with
+    Cirfix.Config.seed = 2;
+    jobs;
+    max_wall_seconds = 600.0;
+  }
+
+(* Run [f] with the journal open on a temporary file; return its result
+   and the journal text with the documented timing fields blanked. *)
+let journaled f =
+  let path = Filename.temp_file "cirfix-slice" ".jsonl" in
+  let r = Obs.Journal.with_file path f in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let blank field s =
+    Str.global_replace
+      (Str.regexp (Printf.sprintf "\"%s\":[0-9.eE+-]+" field))
+      (Printf.sprintf "\"%s\":X" field)
+      s
+  in
+  (r, text |> blank "elapsed_s" |> blank "wall_seconds")
+
+(* The patch must score 1.0 on a fresh whole-design evaluator, i.e. with
+   no state carried over from the search. *)
+let check_whole_plausible problem patch =
+  let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
+  let o =
+    Cirfix.Evaluate.eval_patch ev (Cirfix.Problem.target_module problem) patch
+  in
+  Alcotest.(check (float 0.)) "whole-design fitness" 1.0 o.fitness
+
+let check_journal_sliced journal =
+  Alcotest.(check bool) "slice record" true
+    (contains journal "{\"type\":\"slice\"");
+  Alcotest.(check bool) "stitched_verifies in run_end" true
+    (contains journal "\"stitched_verifies\":")
+
+let test_gp_sliced () =
+  let problem = engaging_problem () in
+  let run jobs =
+    journaled (fun () -> Cirfix.Gp.repair (engaging_config ~jobs) problem)
+  in
+  let (r : Cirfix.Gp.result), j1 = run 1 in
+  Alcotest.(check bool) "sliced" true r.sliced;
+  Alcotest.(check bool) "stitched verifies" true (r.stitched_verifies >= 1);
+  (match r.minimized with
+  | None -> Alcotest.fail "GP found no repair"
+  | Some patch -> check_whole_plausible problem patch);
+  check_journal_sliced j1;
+  let _, j2 = run 2 in
+  Alcotest.(check string) "journal identical for jobs=1 and jobs=2" j1 j2
+
+let test_brute_sliced () =
+  let problem = engaging_problem () in
+  let run jobs =
+    journaled (fun () ->
+        Cirfix.Brute_force.search ~max_depth:1 (engaging_config ~jobs) problem)
+  in
+  let (r : Cirfix.Brute_force.result), j1 = run 1 in
+  Alcotest.(check bool) "sliced" true r.sliced;
+  Alcotest.(check bool) "stitched verifies" true (r.stitched_verifies >= 1);
+  (match r.repaired with
+  | None -> Alcotest.fail "brute force found no repair"
+  | Some patch -> check_whole_plausible problem patch);
+  check_journal_sliced j1;
+  let _, j2 = run 2 in
+  Alcotest.(check string) "journal identical for jobs=1 and jobs=2" j1 j2
+
 let () =
   Alcotest.run "slice"
     [
@@ -187,5 +262,7 @@ let () =
         [
           Alcotest.test_case "prepare engages" `Quick test_prepare_engages;
           Alcotest.test_case "prepare falls back" `Quick test_prepare_falls_back;
+          Alcotest.test_case "gp on the slice" `Slow test_gp_sliced;
+          Alcotest.test_case "brute force on the slice" `Slow test_brute_sliced;
         ] );
     ]
