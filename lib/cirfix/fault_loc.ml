@@ -57,21 +57,64 @@ let is_conditional (s : stmt) =
   | If _ | CaseStmt _ | While _ | For _ -> true
   | _ -> false
 
-let is_assignment (s : stmt) =
-  match s.s with Blocking _ | Nonblocking _ -> true | _ -> false
-
 let lvalue_names lv = NameSet.of_list (Verilog.Ast_utils.lvalue_base lv)
 
+(* A node that can be implicated: it fires once its [trigger] names meet
+   the mismatch set, then contributes its subtree [ids] and the [names] it
+   mentions. Built once per [localize] call, so the fixed point only
+   re-tests triggers; a node that already fired is skipped (the mismatch
+   set only grows, so it would re-add nothing). *)
+type implicable = {
+  trigger : NameSet.t;
+  ids : int list Lazy.t;
+  names : NameSet.t Lazy.t;
+  mutable fired : bool;
+}
+
 let localize (m : module_decl) ~(mismatch : string list) : result =
-  let stmts = Verilog.Ast_utils.stmts_of_module m in
-  let cont_assigns =
-    List.filter_map
+  (* Procedural statements first, in source order, then continuous
+     assignments: an assignment fires on its written names (Impl-Data), a
+     conditional on any identifier of its subtree (Impl-Ctrl). Other
+     statements never fire. *)
+  let procedural =
+    Verilog.Ast_utils.stmts_of_module m
+    |> List.filter_map (fun (s : stmt) ->
+           let node trigger names =
+             Some
+               {
+                 trigger;
+                 ids = lazy (Verilog.Ast_utils.stmt_subtree_ids s);
+                 names;
+                 fired = false;
+               }
+           in
+           match s.s with
+           | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) ->
+               node (lvalue_names lhs) (lazy (stmt_idents s))
+           | _ when is_conditional s ->
+               let idents = stmt_idents s in
+               node idents (Lazy.from_val idents)
+           | _ -> None)
+  in
+  let continuous =
+    List.concat_map
       (fun (item : item) ->
         match item.it with
-        | ContAssign assigns -> Some (item.iid, assigns)
-        | _ -> None)
+        | ContAssign assigns ->
+            List.map
+              (fun (lhs, rhs) ->
+                {
+                  trigger = lvalue_names lhs;
+                  ids =
+                    lazy (item.iid :: Verilog.Ast_utils.expr_subtree_ids rhs);
+                  names = lazy (expr_idents_set rhs);
+                  fired = false;
+                })
+              assigns
+        | _ -> [])
       m.items
   in
+  let nodes = procedural @ continuous in
   let rounds_tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let current = ref (NameSet.of_list mismatch) in
   let rounds = ref 0 in
@@ -79,48 +122,23 @@ let localize (m : module_decl) ~(mismatch : string list) : result =
   while !changed do
     incr rounds;
     changed := false;
-    let add_names names =
-      NameSet.iter
-        (fun n ->
-          if not (NameSet.mem n !current) then (
-            current := NameSet.add n !current;
-            changed := true))
-        names
-    in
-    let add_ids ids =
-      List.iter
-        (fun id ->
-          if not (Hashtbl.mem rounds_tbl id) then (
-            Hashtbl.add rounds_tbl id !rounds;
-            changed := true))
-        ids
-    in
-    (* Procedural statements. *)
     List.iter
-      (fun (s : stmt) ->
-        let implicated =
-          (is_assignment s
-          &&
-          match s.s with
-          | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) ->
-              not (NameSet.disjoint (lvalue_names lhs) !current)
-          | _ -> false)
-          || (is_conditional s && not (NameSet.disjoint (stmt_idents s) !current))
-        in
-        if implicated then (
-          add_ids (Verilog.Ast_utils.stmt_subtree_ids s);
-          add_names (stmt_idents s)))
-      stmts;
-    (* Continuous assignments participate in the same dataflow. *)
-    List.iter
-      (fun (iid, assigns) ->
-        List.iter
-          (fun (lhs, rhs) ->
-            if not (NameSet.disjoint (lvalue_names lhs) !current) then (
-              add_ids (iid :: Verilog.Ast_utils.expr_subtree_ids rhs);
-              add_names (expr_idents_set rhs)))
-          assigns)
-      cont_assigns
+      (fun n ->
+        if (not n.fired) && not (NameSet.disjoint n.trigger !current) then (
+          n.fired <- true;
+          List.iter
+            (fun id ->
+              if not (Hashtbl.mem rounds_tbl id) then (
+                Hashtbl.add rounds_tbl id !rounds;
+                changed := true))
+            (Lazy.force n.ids);
+          NameSet.iter
+            (fun name ->
+              if not (NameSet.mem name !current) then (
+                current := NameSet.add name !current;
+                changed := true))
+            (Lazy.force n.names)))
+      nodes
   done;
   let rounds_map =
     Hashtbl.fold (fun id r acc -> IdMap.add id r acc) rounds_tbl IdMap.empty

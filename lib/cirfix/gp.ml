@@ -78,17 +78,26 @@ let better (a : candidate) (b : candidate) =
   || (a.outcome.fitness = b.outcome.fitness
      && List.length a.patch < List.length b.patch)
 
-(* Index into the population, so callers can look up per-candidate data
-   (e.g. the precomputed structural hashes behind lineage tracking)
-   without rehashing. Draw count and draw order are unchanged from the
-   candidate-returning version — the mutant stream is seed-stable. *)
-let tournament_idx rng (cfg : Config.t) (popn : candidate array) : int =
+(* One population slot: the candidate plus what the journal needs to know
+   about it, carried from the moment it was committed so nothing is ever
+   re-materialized to recover it. [op] is the provenance operator that
+   made the candidate (credited when elitism keeps it); [hash] is the
+   structural hash of its materialized module, the key of lineage and
+   diversity tracking — computed only while a journal is open, "" when
+   not. *)
+type slot = {
+  cand : candidate;
+  op : string;
+  hash : string;
+}
+
+let tournament rng (cfg : Config.t) (popn : slot array) : slot =
   let best = ref (Random.State.int rng (Array.length popn)) in
   for _ = 2 to cfg.tournament_size do
     let i = Random.State.int rng (Array.length popn) in
-    if better popn.(i) popn.(!best) then best := i
+    if better popn.(i).cand popn.(!best).cand then best := i
   done;
-  !best
+  popn.(!best)
 
 (* --- Provenance and lineage ----------------------------------------------
 
@@ -317,23 +326,17 @@ let journal_funnel (f : funnel) : unit =
    from state the determinism contract already covers (population, memo
    counters), so the journal is byte-identical across [jobs] — except
    [elapsed_s], which consumers must strip before comparing. Diversity is
-   the number of structurally distinct programs in the population; the
-   hashing is only paid when a journal is open. *)
-let journal_generation (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
-    (popn : candidate array) ~(gen : int) ~(mutants : int) ~(found : bool)
-    ~(elapsed : float) : unit =
-  let fits = Array.map (fun c -> c.outcome.fitness) popn in
+   the number of structurally distinct programs in the population, read
+   off the slots' hashes. *)
+let journal_generation (ev : Evaluate.t) (popn : slot array) ~(gen : int)
+    ~(mutants : int) ~(found : bool) ~(elapsed : float) : unit =
+  let fits = Array.map (fun sl -> sl.cand.outcome.fitness) popn in
   Array.sort compare fits;
   let n = Array.length fits in
   let fl = Array.to_list fits in
   let diversity =
     let seen = Hashtbl.create (Array.length popn) in
-    Array.iter
-      (fun c ->
-        Hashtbl.replace seen
-          (Verilog.Ast_utils.structural_hash (Patch.apply original c.patch))
-          ())
-      popn;
+    Array.iter (fun sl -> Hashtbl.replace seen sl.hash ()) popn;
     Hashtbl.length seen
   in
   Obs.Journal.emit
@@ -587,9 +590,6 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     funnel_charge funnel ev "setup"
   end
   else funnel_snap funnel ev;
-  (* Operator of each population slot, parallel to [popn]; used to credit
-     elitism survival to the operator that made the survivor. *)
-  let popn_ops = ref (Array.make (max cfg.pop_size 1) "seed") in
   if Obs.Journal.enabled () then
     Obs.Journal.emit
       ([
@@ -610,10 +610,18 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     r.f_proposed <- r.f_proposed + 1;
     funnel_charge funnel ev "seed"
   end;
+  let seed =
+    {
+      cand = initial;
+      op = "seed";
+      hash = (if track then hash_of_mod original else "");
+    }
+  in
+  (* The winning slot: first plausible repair, in commit order. *)
   let found =
     ref
       (if initial.outcome.fitness >= 1.0 && stitched_ok initial.patch then
-         Some initial
+         Some seed
        else None)
   in
   if Obs.Journal.enabled () then begin
@@ -623,7 +631,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     in
     journal_localization original ~mismatch;
     journal_attribution ev initial ~gen:0;
-    record_lineage lineage ~hash:(hash_of_mod original)
+    record_lineage lineage ~hash:seed.hash
       ~prov:{ p_op = "seed"; p_target = None; p_parents = [] }
       ~gen:0 ~fitness:initial.outcome.fitness
   end;
@@ -631,90 +639,123 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   (* seed_popn(C, popnSize): the population starts as copies of the faulty
      circuit (Alg. 1 line 1); generation 1 then explores pop_size fresh
      single edits around it. *)
-  let popn = ref (Array.make (max cfg.pop_size 1) initial) in
+  let popn = ref (Array.make (max cfg.pop_size 1) seed) in
+
+  (* Propose: all RNG draws and candidate materialization, sequentially on
+     the main domain. (The wall-clock guard mirrors the sequential loop's:
+     a generation stops growing when the trial is out of time.)
+
+     Each distinct parent is materialized and localized once per call:
+     tournaments draw the same few dozen parents over and over, and the
+     same patch always yields the same module, the same memoized outcome
+     and hence the same localization. The table is keyed on the patch
+     itself, node ids included — the edits drawn from it name those ids,
+     which [structural_hash] ignores. A mutation or template child is then
+     its parent's module plus one edit ([Patch.apply] is a left fold, so
+     this is exactly [Patch.apply original (parent.patch @ [e])]);
+     crossover children replay from [original]. The table dies with the
+     call, so at most one generation's parents are held at a time.
+     Returns the batch in proposal order and the number of parents
+     localized. *)
+  let propose () =
+    let localized = Hashtbl.create 64 in
+    let localize (parent : candidate) =
+      match Hashtbl.find_opt localized parent.patch with
+      | Some l -> l
+      | None ->
+          let l = localize_parent ev original cfg ~focus parent in
+          Hashtbl.add localized parent.patch l;
+          l
+    in
+    let proposals = ref [] in
+    let child_count = ref 0 in
+    while !child_count < cfg.pop_size && not (out_of_resources ()) do
+      let parent = tournament rng cfg !popn in
+      let m, fl_stmts, fl = localize parent.cand in
+      let one_edit = function
+        | None -> []
+        | Some e ->
+            [
+              ( parent.cand.patch @ [ e ],
+                prov_of_edit ~parents:[ parent.hash ] e,
+                Option.value (Patch.apply_edit m e) ~default:m );
+            ]
+      in
+      let children =
+        if cfg.use_templates && Random.State.float rng 1.0 <= cfg.rt_threshold
+        then
+          (* Repair templates (Alg. 1 line 8). *)
+          one_edit (Mutate.template_edit rng m ~fl)
+        else if Random.State.float rng 1.0 <= cfg.mut_threshold then
+          one_edit (Mutate.mutate rng cfg m ~fl_stmts)
+        else (
+          let parent2 = tournament rng cfg !popn in
+          let c1, c2 =
+            Mutate.crossover rng parent.cand.patch parent2.cand.patch
+          in
+          let prov =
+            {
+              p_op = "crossover";
+              p_target = None;
+              p_parents = [ parent.hash; parent2.hash ];
+            }
+          in
+          [
+            (c1, prov, Patch.apply original c1);
+            (c2, prov, Patch.apply original c2);
+          ])
+      in
+      List.iter
+        (fun ((_, prov, _) as child) ->
+          incr child_count;
+          if track then begin
+            let r = funnel_get funnel prov.p_op in
+            r.f_proposed <- r.f_proposed + 1
+          end;
+          proposals := child :: !proposals)
+        children
+    done;
+    (Array.of_list (List.rev !proposals), Hashtbl.length localized)
+  in
 
   let gen = ref 0 in
   while !found = None && !gen < cfg.max_generations && not (out_of_resources ()) do
     incr gen;
     let t_gen = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
     let t_gen_wall = Unix.gettimeofday () in
-    (* Parent hashes for lineage, computed once per generation (journal
-       open only); "" placeholders otherwise. *)
-    let popn_hashes =
-      if Obs.Journal.enabled () then
-        Array.map (fun c -> hash_of_mod (Patch.apply original c.patch)) !popn
-      else Array.map (fun _ -> "") !popn
-    in
-    (* Propose: all RNG draws and patch materialization, sequentially on
-       the main domain. (The wall-clock guard mirrors the sequential
-       loop's: a generation stops growing when the trial is out of time.) *)
     let t_propose = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-    let proposals = ref [] in
-    let child_count = ref 0 in
-    while !child_count < cfg.pop_size && not (out_of_resources ()) do
-      let pi = tournament_idx rng cfg !popn in
-      let parent = (!popn).(pi) in
-      let parents = [ popn_hashes.(pi) ] in
-      let m, fl_stmts, fl = localize_parent ev original cfg ~focus parent in
-      let children =
-        if cfg.use_templates && Random.State.float rng 1.0 <= cfg.rt_threshold
-        then
-          (* Repair templates (Alg. 1 line 8). *)
-          match Mutate.template_edit rng m ~fl with
-          | Some e -> [ (parent.patch @ [ e ], prov_of_edit ~parents e) ]
-          | None -> []
-        else if Random.State.float rng 1.0 <= cfg.mut_threshold then
-          match Mutate.mutate rng cfg m ~fl_stmts with
-          | Some e -> [ (parent.patch @ [ e ], prov_of_edit ~parents e) ]
-          | None -> []
-        else (
-          let pi2 = tournament_idx rng cfg !popn in
-          let parent2 = (!popn).(pi2) in
-          let cross_parents = [ popn_hashes.(pi); popn_hashes.(pi2) ] in
-          let c1, c2 = Mutate.crossover rng parent.patch parent2.patch in
-          let prov =
-            { p_op = "crossover"; p_target = None; p_parents = cross_parents }
-          in
-          [ (c1, prov); (c2, prov) ])
-      in
-      List.iter
-        (fun tagged ->
-          incr child_count;
-          if track then begin
-            let r = funnel_get funnel (snd tagged).p_op in
-            r.f_proposed <- r.f_proposed + 1
-          end;
-          proposals := tagged :: !proposals)
-        children
-    done;
-    let tagged_batch = Array.of_list (List.rev !proposals) in
-    let batch = Array.map fst tagged_batch in
-    let mods = Array.map (Patch.apply original) batch in
+    let batch, localized = propose () in
     if Obs.Trace.enabled () then
       Obs.Trace.complete ~cat:"gp"
-        ~args:[ ("proposals", Obs.Json.Int (Array.length batch)) ]
+        ~args:
+          [
+            ("proposals", Obs.Json.Int (Array.length batch));
+            ("localized", Obs.Json.Int localized);
+          ]
         ~name:"gp.propose" t_propose;
     (* Evaluate: score the batch across the pool, then select by committing
        in batch order with the sequential guards. Stopping at the first
        plausible repair (or on budget exhaustion) discards the remaining
        speculative work, so counters match a jobs=1 run exactly. *)
-    let prepared = Evaluate.prepare ev ~pool mods in
+    let prepared =
+      Evaluate.prepare ev ~pool (Array.map (fun (_, _, m) -> m) batch)
+    in
     let t_select = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-    let child_popn = ref [] in
-    let child_ops = ref [] in
+    let children = ref [] in
     Array.iteri
-      (fun i patch ->
+      (fun i (patch, prov, m) ->
         if !found = None && not (out_of_resources ()) then (
           incr mutants;
           let c = { patch; outcome = Evaluate.commit prepared i } in
-          if track then funnel_charge funnel ev (snd tagged_batch.(i)).p_op;
+          if track then funnel_charge funnel ev prov.p_op;
+          let hash = if track then hash_of_mod m else "" in
           if Obs.Journal.enabled () then
-            record_lineage lineage ~hash:(hash_of_mod mods.(i))
-              ~prov:(snd tagged_batch.(i)) ~gen:!gen ~fitness:c.outcome.fitness;
+            record_lineage lineage ~hash ~prov ~gen:!gen
+              ~fitness:c.outcome.fitness;
+          let sl = { cand = c; op = prov.p_op; hash } in
           if c.outcome.fitness >= 1.0 && stitched_ok c.patch then
-            found := Some c;
-          child_ops := (snd tagged_batch.(i)).p_op :: !child_ops;
-          child_popn := c :: !child_popn))
+            found := Some sl;
+          children := sl :: !children))
       batch;
     if Obs.Trace.enabled () then
       Obs.Trace.complete ~cat:"gp" ~name:"gp.select" t_select;
@@ -725,39 +766,23 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let sorted = Array.copy !popn in
     Array.sort
       (fun a b ->
-        match compare b.outcome.fitness a.outcome.fitness with
-        | 0 -> compare (List.length a.patch) (List.length b.patch)
+        match compare b.cand.outcome.fitness a.cand.outcome.fitness with
+        | 0 -> compare (List.length a.cand.patch) (List.length b.cand.patch)
         | c -> c)
       sorted;
     let elites = Array.to_list (Array.sub sorted 0 (min elite_n (Array.length sorted))) in
-    (* Credit each survivor's operator. Elites are physical members of the
-       previous population, so an identity scan recovers each one's slot
-       (and thus its operator) without re-sorting or rehashing. *)
-    let elite_ops =
-      if not track then []
-      else
-        List.map
-          (fun e ->
-            let op = ref "seed" in
-            (try
-               Array.iteri
-                 (fun i c -> if c == e then (op := (!popn_ops).(i); raise Exit))
-                 !popn
-             with Exit -> ());
-            let r = funnel_get funnel !op in
-            r.f_survived <- r.f_survived + 1;
-            !op)
-          elites
+    (* Credit each survivor's operator. *)
+    if track then
+      List.iter
+        (fun e ->
+          let r = funnel_get funnel e.op in
+          r.f_survived <- r.f_survived + 1)
+        elites;
+    let next = Array.of_list (elites @ !children) in
+    if Array.length next > 0 then popn := next;
+    let fits =
+      Array.to_list (Array.map (fun sl -> sl.cand.outcome.fitness) !popn)
     in
-    let next = Array.of_list (elites @ !child_popn) in
-    if Array.length next > 0 then begin
-      popn := next;
-      if track then
-        (* [child_popn] is consed (reverse batch order); [child_ops] is
-           consed identically, so the two lists stay slot-aligned. *)
-        popn_ops := Array.of_list (elite_ops @ !child_ops)
-    end;
-    let fits = Array.to_list (Array.map (fun c -> c.outcome.fitness) !popn) in
     let stats =
       {
         gen = !gen;
@@ -773,13 +798,13 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     in
     gen_stats := stats :: !gen_stats;
     if Obs.Journal.enabled () then begin
-      journal_generation ev original !popn ~gen:!gen ~mutants:!mutants
+      journal_generation ev !popn ~gen:!gen ~mutants:!mutants
         ~found:(!found <> None)
         ~elapsed:(Unix.gettimeofday () -. t_gen_wall);
       let best =
         Array.fold_left
-          (fun acc c -> if better c acc then c else acc)
-          (!popn).(0) !popn
+          (fun acc sl -> if better sl.cand acc then sl.cand else acc)
+          (!popn).(0).cand !popn
       in
       journal_attribution ev best ~gen:!gen
     end;
@@ -800,10 +825,11 @@ let repair ?(on_generation : (generation_stats -> unit) option)
      the whole module by construction, not just the slice. *)
   let minimized =
     Option.map
-      (fun c ->
+      (fun sl ->
         match slicing with
-        | None -> Minimize.minimize ev original c.patch
-        | Some s -> Minimize.minimize whole_ev s.Slicing.whole_target c.patch)
+        | None -> Minimize.minimize ev original sl.cand.patch
+        | Some s ->
+            Minimize.minimize whole_ev s.Slicing.whole_target sl.cand.patch)
       !found
   in
   if !found <> None && Obs.Trace.enabled () then
@@ -827,12 +853,11 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           else
             Some
               (Array.fold_left
-                 (fun acc c -> if better c acc then c else acc)
+                 (fun acc sl -> if better sl.cand acc.cand then sl else acc)
                  (!popn).(0) !popn)
     in
     (match focus with
-    | Some c ->
-        let winner = hash_of_mod (Patch.apply original c.patch) in
+    | Some { hash = winner; _ } ->
         let nodes = genealogy lineage winner in
         if track then
           List.iter
@@ -882,7 +907,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
       else [])
   end;
   {
-    repaired = !found;
+    repaired = Option.map (fun sl -> sl.cand) !found;
     minimized;
     repaired_module =
       Option.map

@@ -152,50 +152,95 @@ let stmt_size s =
 
 (* --- Rewriters --------------------------------------------------------- *)
 
+(* [List.map] and [Option.map] that hand back their argument itself when
+   [f] changed no element. *)
+let map_shared f l =
+  let l' = List.map f l in
+  if List.for_all2 ( == ) l l' then l else l'
+
+let opt_shared f o =
+  match o with
+  | None -> o
+  | Some x ->
+      let x' = f x in
+      if x' == x then o else Some x'
+
 (* [rewrite_stmts f m] applies [f] to every statement top-down; when [f]
    returns [Some s'], [s'] is used and its children are not visited. The
-   repair engine composes first-match-only edits on top of this. *)
+   repair engine composes first-match-only edits on top of this.
+   Subtrees [f] leaves alone come back physically shared, so an edit
+   copies only the path from the module root to its target. Children are
+   visited list elements left to right, other operands last to first;
+   that order decides which copy an edit hits when its target id occurs
+   twice (an insertion copies its source statement, id included). *)
 let rec rw_stmt f (s : stmt) : stmt =
   match f s with
   | Some s' -> s'
   | None ->
+      let r = rw_stmt f in
       let k =
         match s.s with
-        | Block (lbl, body) -> Block (lbl, List.map (rw_stmt f) body)
+        | Block (lbl, body) ->
+            let body' = map_shared r body in
+            if body' == body then s.s else Block (lbl, body')
         | If (c, t, e) ->
-            If (c, Option.map (rw_stmt f) t, Option.map (rw_stmt f) e)
+            let e' = opt_shared r e in
+            let t' = opt_shared r t in
+            if t' == t && e' == e then s.s else If (c, t', e')
         | CaseStmt (kind, subject, arms, default) ->
-            CaseStmt
-              ( kind,
-                subject,
-                List.map
-                  (fun arm ->
-                    { arm with arm_body = Option.map (rw_stmt f) arm.arm_body })
-                  arms,
-                Option.map (rw_stmt f) default )
+            let default' = opt_shared r default in
+            let arms' =
+              map_shared
+                (fun arm ->
+                  let b = opt_shared r arm.arm_body in
+                  if b == arm.arm_body then arm else { arm with arm_body = b })
+                arms
+            in
+            if arms' == arms && default' == default then s.s
+            else CaseStmt (kind, subject, arms', default')
         | For (init, cond, step, body) ->
-            For (rw_stmt f init, cond, rw_stmt f step, rw_stmt f body)
-        | While (c, body) -> While (c, rw_stmt f body)
-        | Repeat (c, body) -> Repeat (c, rw_stmt f body)
-        | Forever body -> Forever (rw_stmt f body)
-        | Delay (d, k) -> Delay (d, Option.map (rw_stmt f) k)
-        | EventCtrl (specs, k) -> EventCtrl (specs, Option.map (rw_stmt f) k)
-        | Wait (c, k) -> Wait (c, Option.map (rw_stmt f) k)
-        | ( Blocking _ | Nonblocking _ | Trigger _ | SysTask _ | Null ) as d -> d
+            let body' = r body in
+            let step' = r step in
+            let init' = r init in
+            if init' == init && step' == step && body' == body then s.s
+            else For (init', cond, step', body')
+        | While (c, body) ->
+            let body' = r body in
+            if body' == body then s.s else While (c, body')
+        | Repeat (c, body) ->
+            let body' = r body in
+            if body' == body then s.s else Repeat (c, body')
+        | Forever body ->
+            let body' = r body in
+            if body' == body then s.s else Forever body'
+        | Delay (d, k) ->
+            let k' = opt_shared r k in
+            if k' == k then s.s else Delay (d, k')
+        | EventCtrl (specs, k) ->
+            let k' = opt_shared r k in
+            if k' == k then s.s else EventCtrl (specs, k')
+        | Wait (c, k) ->
+            let k' = opt_shared r k in
+            if k' == k then s.s else Wait (c, k')
+        | Blocking _ | Nonblocking _ | Trigger _ | SysTask _ | Null -> s.s
       in
-      { s with s = k }
+      if k == s.s then s else { s with s = k }
 
 let rewrite_stmts f (m : module_decl) : module_decl =
   let items =
-    List.map
+    map_shared
       (fun item ->
         match item.it with
-        | Always s -> { item with it = Always (rw_stmt f s) }
-        | Initial s -> { item with it = Initial (rw_stmt f s) }
+        | Always s ->
+            let s' = rw_stmt f s in
+            if s' == s then item else { item with it = Always s' }
+        | Initial s ->
+            let s' = rw_stmt f s in
+            if s' == s then item else { item with it = Initial s' }
         | _ -> item)
       m.items
   in
-  { m with items }
+  if items == m.items then m else { m with items }
 
 (* Expression rewriting, top-down, everywhere an expression occurs in
    procedural code and continuous assignments. *)

@@ -320,6 +320,55 @@ let test_patch_digest_collapses () =
   in
   Alcotest.(check string) "same digest" d1 d2
 
+(* An edit copies only the path from the module root to its target: the
+   other process and the untouched branch come back physically shared. *)
+let test_patch_edit_shares_subtrees () =
+  let m =
+    match
+      Verilog.Parser.parse_design_result
+        "module m(clk, a, b); input clk; output a, b; reg a, b;\n\
+         always @(posedge clk) begin if (a) a <= 1'b0; else a <= 1'b1; end\n\
+         always @(posedge clk) b <= a;\n\
+         endmodule"
+    with
+    | Ok [ m ] -> m
+    | _ -> Alcotest.fail "parse"
+  in
+  let target =
+    stmt_by
+      (function
+        | Verilog.Ast.Nonblocking (_, _, { Verilog.Ast.e = Number _; _ }) ->
+            true
+        | _ -> false)
+      m
+  in
+  let m' =
+    match Cirfix.Patch.apply_edit m (Cirfix.Patch.Delete target.sid) with
+    | Some m' -> m'
+    | None -> Alcotest.fail "delete did not apply"
+  in
+  let procs (m : Verilog.Ast.module_decl) =
+    List.filter_map
+      (fun (it : Verilog.Ast.item) ->
+        match it.it with Verilog.Ast.Always s -> Some (it, s) | _ -> None)
+      m.items
+  in
+  match (procs m, procs m') with
+  | [ (_, s1); (i2, _) ], [ (_, s1'); (i2', _) ] ->
+      Alcotest.(check bool) "edited process copied" false (s1 == s1');
+      Alcotest.(check bool) "other process shared" true (i2 == i2');
+      let else_branch =
+        Verilog.Ast_utils.fold_stmt
+          (fun acc (x : Verilog.Ast.stmt) ->
+            match x.s with Verilog.Ast.If (_, _, Some e) -> Some e | _ -> acc)
+          (fun acc _ -> acc) None
+      in
+      Alcotest.(check bool) "untouched branch shared" true
+        (match (else_branch s1, else_branch s1') with
+        | Some e, Some e' -> e == e'
+        | _ -> false)
+  | _ -> Alcotest.fail "expected two processes"
+
 let test_crossover () =
   let rng = Random.State.make [| 7 |] in
   let a = [ Cirfix.Patch.Delete 1; Cirfix.Patch.Delete 2 ] in
@@ -669,6 +718,46 @@ let test_fix_loc_pools () =
         (s.Verilog.Ast.sid <> target.Verilog.Ast.sid))
     repl
 
+(* Pinned searches: full GP runs on three Table-3 scenarios under their
+   benchmark budgets, with every search counter and the minimized patch
+   fixed. Any change to the mutant stream, the memo cache or the
+   localization of a parent moves at least one of these numbers, so a
+   refactor of the proposal loop that claims to be exact must leave them
+   alone. *)
+let pinned_search id seed =
+  let d = Bench_suite.Defects.find id in
+  let cfg = { (Bench_suite.Runner.scenario_config d) with seed; jobs = 1 } in
+  let r = Cirfix.Gp.repair cfg (Bench_suite.Defects.problem d) in
+  Printf.sprintf
+    "sims=%d lookups=%d memo_hits=%d static_rejects=%d gens=%d mutants=%d \
+     patch=%s"
+    r.probes r.lookups r.memo_hits r.static_rejects
+    (List.length r.generations)
+    r.mutants_generated
+    (match r.minimized with
+    | None -> "none"
+    | Some p -> Cirfix.Patch.to_string p)
+
+let test_gp_pinned_searches () =
+  List.iter
+    (fun (id, seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "#%02d s%d" id seed)
+        expected (pinned_search id seed))
+    [
+      ( 1, 1,
+        "sims=1701 lookups=4454 memo_hits=2752 static_rejects=0 gens=9 \
+         mutants=4446 patch=template(numeric:increment, 43); \
+         template(numeric:decrement, 31)" );
+      ( 4, 2,
+        "sims=506 lookups=2029 memo_hits=1523 static_rejects=0 gens=5 \
+         mutants=2012 patch=insert-after(22, overflow_out <= #1 1'b1;); \
+         template(numeric:increment, 40)" );
+      ( 9, 1,
+        "sims=833 lookups=6004 memo_hits=5091 static_rejects=80 gens=12 \
+         mutants=6002 patch=none" );
+    ]
+
 (* --- QCheck properties -------------------------------------------------------- *)
 
 let trace_gen =
@@ -709,6 +798,66 @@ let prop_ddmin_result_fails =
       let r = Cirfix.Minimize.ddmin test items in
       test r && List.length r = 1)
 
+(* The GP loop builds a mutation or template child as its parent's module
+   plus one edit. That is only sound if it equals replaying the child's
+   whole patch from the original, node ids included (polymorphic [=]).
+   Each scenario's faulty target grows a patch edit by edit, with edits
+   drawn both from the current module and, stale, from the original, so
+   some target statements a previous delete removed or replaced (the
+   [apply_edit = None] case). *)
+let scenario_targets =
+  lazy
+    (List.map
+       (fun (d : Bench_suite.Defects.t) ->
+         match
+           Verilog.Parser.parse_design_result (Bench_suite.Defects.inject d)
+         with
+         | Ok ms -> List.find (fun m -> m.Verilog.Ast.mod_id = d.target) ms
+         | Error _ -> Alcotest.fail (Printf.sprintf "parse #%d" d.id))
+       Bench_suite.Defects.all)
+
+let stale_edits = ref 0
+
+let prop_one_edit_child =
+  QCheck.Test.make ~name:"parent module + one edit = replayed patch" ~count:6
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun original ->
+          let draw m =
+            let stmts = Cirfix.Fault_loc.all_statements m in
+            let fl =
+              Cirfix.Fault_loc.IdSet.of_list
+                (List.map (fun (s : Verilog.Ast.stmt) -> s.sid) stmts)
+            in
+            if Random.State.bool rng then Cirfix.Mutate.template_edit rng m ~fl
+            else Cirfix.Mutate.mutate rng Cirfix.Config.default m ~fl_stmts:stmts
+          in
+          let rec grow p m steps =
+            steps = 0
+            ||
+            let from = if Random.State.int rng 3 = 0 then original else m in
+            match draw from with
+            | None -> grow p m (steps - 1)
+            | Some e ->
+                let child =
+                  match Cirfix.Patch.apply_edit m e with
+                  | Some m' -> m'
+                  | None ->
+                      incr stale_edits;
+                      m
+                in
+                let p = p @ [ e ] in
+                Cirfix.Patch.apply original p = child && grow p child (steps - 1)
+          in
+          grow [] original 12)
+        (Lazy.force scenario_targets))
+
+let test_one_edit_child_covers_stale () =
+  QCheck.Test.check_exn prop_one_edit_child;
+  Alcotest.(check bool) "some edit's target was gone" true (!stale_edits > 0)
+
 let () =
   Alcotest.run "cirfix"
     [
@@ -744,6 +893,10 @@ let () =
           Alcotest.test_case "apply and no-op" `Quick test_patch_apply_and_noop;
           Alcotest.test_case "digest collapses" `Quick test_patch_digest_collapses;
           Alcotest.test_case "crossover" `Quick test_crossover;
+          Alcotest.test_case "edit shares subtrees" `Quick
+            test_patch_edit_shares_subtrees;
+          Alcotest.test_case "one-edit child" `Quick
+            test_one_edit_child_covers_stale;
         ] );
       ( "minimization",
         [
@@ -783,6 +936,7 @@ let () =
             test_brute_force_edit_inventory;
           Alcotest.test_case "brute force small" `Slow test_brute_force_small_defect;
           Alcotest.test_case "fix localization pools" `Quick test_fix_loc_pools;
+          Alcotest.test_case "pinned searches" `Slow test_gp_pinned_searches;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
